@@ -8,7 +8,7 @@ PYTHON ?= python
 # accommodates CPU-throttled/shared dev machines (observed run-to-run
 # drift up to ~1.5x with identical code); tighten on quiet hardware with
 # `BENCH_TOLERANCE=0.25 make bench-compare`.  CI sets 1.0.  The 2x
-# backend speedup floor is within-run and unaffected by this knob.
+# solver speedup floor is within-run and unaffected by this knob.
 BENCH_TOLERANCE ?= 0.75
 
 # conformance-suite paths run by the fuzz targets (the differential
@@ -32,8 +32,8 @@ bench-json:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=BENCH_core.json
 
 # the perf-regression gate: fresh run vs the committed baseline, plus the
-# hard floor on the compacted numpy AGDP backend's speedup over dict at
-# the largest live-set size (the tentpole acceptance criterion)
+# hard floor on the numpy AGDP solver's speedup over the reference dict
+# solver at the largest live-set size
 bench-compare:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=BENCH_fresh.json
 	$(PYTHON) benchmarks/compare.py BENCH_core.json BENCH_fresh.json \

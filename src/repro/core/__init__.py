@@ -10,10 +10,10 @@ The public surface re-exports the classes a downstream user needs:
   :func:`external_bounds`, :func:`extremal_execution`;
 * the algorithms - :class:`FullInformationCSA` (Sec 2.3 reference),
   :class:`EfficientCSA` (the paper's main result, Sec 3), and its parts
-  :class:`HistoryModule`, :class:`LiveTracker`, :class:`AGDP`.
+  :class:`HistoryModule`, :class:`LiveTracker`, :class:`NumpyAGDP`.
 """
 
-from .agdp import AGDP, AGDPStats
+from .agdp import AGDPStats
 from .agdp_numpy import NumpyAGDP
 from .bootstrap import BootstrapSnapshot
 from .csa import CSAStats, EfficientCSA, QuarantineDiagnostic, RecoveryEvent
@@ -75,7 +75,6 @@ from .theorem import (
 from .view import View
 
 __all__ = [
-    "AGDP",
     "AGDPStats",
     "BootstrapSnapshot",
     "CSAStats",

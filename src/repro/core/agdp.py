@@ -1,4 +1,4 @@
-"""The Accumulated Graph Distance Problem (AGDP) and its solver (Sec 3.2).
+"""The Accumulated Graph Distance Problem (AGDP) (Sec 3.2).
 
 AGDP abstracts the on-line synchronization problem as a dynamic graph
 problem:
@@ -9,11 +9,12 @@ problem:
 * the task is to know, at all times, distances between live nodes (in
   particular from the source).
 
-The solver maintains a *complete* weighted digraph ``G`` over the non-dead
-nodes whose edge weights equal exact distances in the accumulated graph
-(Lemma 3.4).  Edge insertion uses the Ausiello et al. incremental
-all-pairs-shortest-paths update - inserting ``(x, y, w)`` can only shorten
-paths through the new edge, so
+The solver (:class:`repro.core.agdp_numpy.NumpyAGDP`) maintains a
+*complete* weighted digraph ``G`` over the non-dead nodes whose edge
+weights equal exact distances in the accumulated graph (Lemma 3.4).  Edge
+insertion uses the Ausiello et al. incremental all-pairs-shortest-paths
+update - inserting ``(x, y, w)`` can only shorten paths through the new
+edge, so
 
     ``d'(r, s) = min(d(r, s), d(r, x) + w + d(y, s))``
 
@@ -25,21 +26,16 @@ For the garbage-collection ablation (experiment A1) the solver can be run
 with ``gc_enabled=False``: dead nodes are then retained, which preserves
 answers trivially but lets the matrix grow with the execution length -
 exactly the blow-up the paper's construction avoids.
+
+This module holds the solver's operation counters, shared with the
+reference solver in :mod:`repro.testing.reference`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
 
-from .errors import InconsistentSpecificationError
-
-__all__ = ["AGDP", "AGDPStats"]
-
-INF = math.inf
-
-NodeKey = Hashable
+__all__ = ["AGDPStats"]
 
 
 @dataclass
@@ -50,8 +46,8 @@ class AGDPStats:
     nodes_killed: int = 0
     edges_inserted: int = 0
     #: total pair-relaxation candidates examined across all edge insertions
-    #: (pairs with finite ``d(r, x)`` and ``d(y, s)``); every backend counts
-    #: this same quantity, so complexity plots are backend-independent
+    #: (pairs with finite ``d(r, x)`` and ``d(y, s)``); every solver counts
+    #: this same quantity, so complexity plots are solver-independent
     pair_updates: int = 0
     #: largest node-set size ever held (live + in-flight insertions)
     max_nodes: int = 0
@@ -59,190 +55,3 @@ class AGDPStats:
     def matrix_cells(self) -> int:
         """Peak memory proxy: cells of the largest distance matrix held."""
         return self.max_nodes * self.max_nodes
-
-
-class AGDP:
-    """Incremental all-pairs distances over the live nodes of a growing graph.
-
-    Node keys are arbitrary hashables.  Weights may be negative; a negative
-    cycle (impossible for views of real executions) raises
-    :class:`InconsistentSpecificationError`.
-    """
-
-    def __init__(self, source: Optional[NodeKey] = None, *, gc_enabled: bool = True):
-        self._dist: Dict[NodeKey, Dict[NodeKey, float]] = {}
-        self._source = source
-        self._gc_enabled = gc_enabled
-        #: retained only when gc is disabled, to answer is_live queries
-        self._dead: Set[NodeKey] = set()
-        self.stats = AGDPStats()
-        #: debug-mode callback invoked with ``self`` after every mutating
-        #: edge insertion and kill (see repro.testing.invariants); None in
-        #: production - the checks are O(n^3) per call
-        self.invariant_hook = None
-        if source is not None:
-            self.add_node(source)
-
-    # -- inspection --------------------------------------------------------------
-
-    @property
-    def source(self) -> NodeKey:
-        return self._source
-
-    @property
-    def gc_enabled(self) -> bool:
-        return self._gc_enabled
-
-    def __contains__(self, node: NodeKey) -> bool:
-        return node in self._dist
-
-    def __len__(self) -> int:
-        return len(self._dist)
-
-    @property
-    def nodes(self) -> Set[NodeKey]:
-        return set(self._dist)
-
-    @property
-    def live_nodes(self) -> Set[NodeKey]:
-        return set(self._dist) - self._dead
-
-    def distance(self, x: NodeKey, y: NodeKey) -> float:
-        """Exact distance from ``x`` to ``y`` in the accumulated graph.
-
-        ``inf`` when ``y`` is unreachable from ``x``.  Both nodes must be
-        present (live, or dead-but-retained when gc is disabled).
-        """
-        try:
-            return self._dist[x][y]
-        except KeyError:
-            raise KeyError(f"node {x!r} or {y!r} is not tracked by this AGDP") from None
-
-    def distances_from(self, x: NodeKey) -> Dict[NodeKey, float]:
-        return dict(self._dist[x])
-
-    def distances_to(self, y: NodeKey) -> Dict[NodeKey, float]:
-        if y not in self._dist:
-            raise KeyError(f"node {y!r} is not tracked by this AGDP")
-        return {x: row[y] for x, row in self._dist.items()}
-
-    # -- mutation ----------------------------------------------------------------
-
-    def add_node(self, node: NodeKey) -> None:
-        """Insert a new isolated live node (one AGDP input step starts here)."""
-        if node in self._dist:
-            raise ValueError(f"node {node!r} already present")
-        for row in self._dist.values():
-            row[node] = INF
-        self._dist[node] = {other: INF for other in self._dist}
-        self._dist[node][node] = 0.0
-        self.stats.nodes_added += 1
-        self.stats.max_nodes = max(self.stats.max_nodes, len(self._dist))
-
-    def insert_edge(self, x: NodeKey, y: NodeKey, weight: float) -> None:
-        """Insert edge ``x -> y`` and restore all-pairs exactness.
-
-        Per the AGDP specification at least one endpoint is the newly added
-        node and the other is live, but the update is correct for any
-        present endpoints; the relaxed precondition is convenient for the
-        ablation modes.
-        """
-        if x not in self._dist or y not in self._dist:
-            raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
-        if math.isnan(weight):
-            raise ValueError("edge weight must not be NaN")
-        if math.isinf(weight):
-            return  # a TOP bound carries no information
-        if x == y:
-            if weight < 0:
-                raise InconsistentSpecificationError(
-                    f"negative self-loop at {x!r}"
-                )
-            return
-        self.stats.edges_inserted += 1
-        back = self._dist[y][x]
-        if back + weight < -1e-9:
-            raise InconsistentSpecificationError(
-                f"inserting ({x!r} -> {y!r}, {weight}) closes a negative cycle "
-                f"(d({y!r}, {x!r}) = {back})",
-                edge=(x, y, weight),
-            )
-        if weight >= self._dist[x][y]:
-            return  # no path improves
-        # Ausiello et al. update: any strictly shorter path uses the new edge
-        # exactly once (no negative cycles), so it decomposes r ~> x -> y ~> s.
-        # Stored distances are finite or +inf (never NaN/-inf), so the
-        # comparisons below are equivalent to math.isinf checks; rows are
-        # paired with d(r, x) directly to keep the inner loop free of
-        # lookups into the outer matrix.
-        to_x = [(row, d_rx) for row in self._dist.values() if (d_rx := row[x]) != INF]
-        from_y = [(s, d) for s, d in self._dist[y].items() if d != INF]
-        # finite relaxation candidates - the backend-independent cost unit
-        # (the numpy backend charges the identical quantity); hoisted out of
-        # the inner loop so counting costs O(1) per insertion
-        self.stats.pair_updates += len(to_x) * len(from_y)
-        for row, d_rx in to_x:
-            base = d_rx + weight
-            for s, d_ys in from_y:
-                candidate = base + d_ys
-                if candidate < row[s]:
-                    row[s] = candidate
-        if self.invariant_hook is not None:
-            self.invariant_hook(self)
-
-    def kill(self, node: NodeKey) -> None:
-        """Unmark ``node`` as live; with gc enabled, drop its row and column."""
-        if node not in self._dist:
-            raise KeyError(f"node {node!r} is not present")
-        if self._source is not None and node == self._source:
-            raise ValueError("the source node is live forever")
-        self.stats.nodes_killed += 1
-        if not self._gc_enabled:
-            self._dead.add(node)
-        else:
-            del self._dist[node]
-            for row in self._dist.values():
-                del row[node]
-        if self.invariant_hook is not None:
-            self.invariant_hook(self)
-
-    def step(
-        self,
-        node: NodeKey,
-        edges: Iterable[Tuple[NodeKey, NodeKey, float]],
-        kills: Iterable[NodeKey] = (),
-    ) -> None:
-        """One AGDP input step: add ``node``, insert ``edges``, kill ``kills``.
-
-        Every edge must have ``node`` as one endpoint (the AGDP contract:
-        new edges connect live nodes to the new node).
-        """
-        self.add_node(node)
-        for x, y, w in edges:
-            if node not in (x, y):
-                raise ValueError(
-                    f"AGDP step for {node!r} may only insert incident edges, got ({x!r}, {y!r})"
-                )
-            self.insert_edge(x, y, w)
-        for victim in kills:
-            self.kill(victim)
-
-    def step_batch(
-        self,
-        steps: Iterable[
-            Tuple[NodeKey, Iterable[Tuple[NodeKey, NodeKey, float]], Iterable[NodeKey]]
-        ],
-    ) -> None:
-        """Apply many input steps in order (the batch-delivery hot path).
-
-        One delivered payload of ``k`` events becomes one call carrying
-        ``k`` ``(node, edges, kills)`` steps; observable behaviour (matrix
-        contents, stats counters, invariant-hook firing order, failure
-        points) is identical to ``k`` sequential :meth:`step` calls.
-        """
-        for node, edges, kills in steps:
-            self.step(node, edges, kills)
-
-    def matrix_size(self) -> int:
-        """Current number of matrix cells held (space proxy for Lemma 3.5)."""
-        return len(self._dist) * len(self._dist)

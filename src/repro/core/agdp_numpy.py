@@ -1,12 +1,11 @@
-"""A vectorised AGDP backend (numpy dense matrix, compacted slots).
+"""The AGDP solver: a dense ``float64`` matrix over compacted slots.
 
-Drop-in alternative to :class:`repro.core.agdp.AGDP` with the same
-observable behaviour, for large live-sets: the Ausiello pairwise update
+The Ausiello pairwise update of Lemma 3.5
 
     ``d'(r, s) = min(d(r, s), d(r, x) + w + d(y, s))``
 
-is one outer-sum + elementwise-min over the active block of a dense
-``float64`` matrix, instead of a Python double loop.
+is one outer-sum + elementwise-min over the active block of the matrix,
+instead of a Python double loop.
 
 **Compacted-slot invariant.**  The present nodes always occupy the
 contiguous slot prefix ``[0, n)`` of the matrix, so the active block is
@@ -15,46 +14,23 @@ block copies.  :meth:`kill` vacates a slot by swapping the last occupied
 row/column into it (two row/column copies, O(n)) and shrinking the
 prefix; :meth:`add_node` appends at slot ``n`` (amortised O(n) with
 capacity doubling).  The Ausiello update then runs as an in-place
-``np.minimum`` against an outer sum of two *views* of the active block -
-the only per-edge allocation is the candidate matrix itself.
+``np.minimum`` against an outer sum of two *views* of the active block;
+the outer sum lands in a preallocated scratch block, so the per-edge
+path allocates nothing.
 
-``pair_updates`` counts exactly what the dict backend counts: finite
-``d(r, x)`` rows times finite ``d(y, s)`` columns (the real relaxation
-candidates), so complexity plots are backend-independent.
+``pair_updates`` counts the finite relaxation candidates: finite
+``d(r, x)`` rows times finite ``d(y, s)`` columns.
 
-**Source-only mode** (``source_only=True``): for consumers that only ever
-read distances to/from one *anchor* node (the estimator's current source
-representative), the dense matrix is overkill - ``O(L^2)`` work per edge
-to maintain rows nobody reads.  In this mode the solver keeps just the
-anchor's distance row ``d(anchor, .)`` and column ``d(., anchor)``,
-updated *exactly* by label-correcting relaxation over the retained
-accumulated-graph adjacency; an edge insertion costs O(affected edges)
-instead of O(L^2).  The trade-offs, documented in docs/PERFORMANCE.md:
-
-* only anchor-incident distances are queryable (:meth:`distance` raises
-  ``ValueError`` for other pairs);
-* re-anchoring (:meth:`set_anchor`, called by the estimator when a new
-  source event arrives) recomputes both vectors from scratch;
-* dead nodes' adjacency is retained so shortest paths through collected
-  points survive (the Lemma 3.4 guarantee) - space is O(total edges)
-  rather than the collected O(L^2), which is why the mode is opt-in;
-* negative cycles are detected by a relaxation budget *after* the edge
-  entered the adjacency, so the mode cannot back the degraded/hardened
-  estimator (those need refusal-before-mutation).
-
-The contract (and the Lemma 3.4/3.5 semantics) is identical to the dict
-solver; the equivalence is enforced property-based in
-``tests/core/test_agdp_numpy.py`` and the speed difference measured in
-``benchmarks/bench_e4_agdp.py``.  The previous (uncompacted) backend is
-preserved as :class:`repro.testing.reference.ReferenceNumpyAGDP` for
-differential tests.
+The pure-Python dict solver the matrix replaced is kept as
+:class:`repro.testing.reference.ReferenceAGDP`; the two are held
+observationally identical (distances, counters, errors) by
+``tests/core/test_agdp_numpy.py``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -71,51 +47,37 @@ _INITIAL_CAPACITY = 16
 
 
 class NumpyAGDP:
-    """Dense-matrix AGDP solver; see :class:`repro.core.agdp.AGDP`."""
+    """Incremental all-pairs distances over the live nodes of a growing graph.
 
-    def __init__(
-        self,
-        source: Optional[NodeKey] = None,
-        *,
-        gc_enabled: bool = True,
-        source_only: bool = False,
-    ):
+    Node keys are arbitrary hashables.  Weights may be negative; a negative
+    cycle (impossible for views of real executions) raises
+    :class:`InconsistentSpecificationError` before the matrix changes.
+    With ``gc_enabled=False`` (the A1 ablation) killed nodes keep their
+    rows and columns, so the matrix grows with the execution length.
+    """
+
+    def __init__(self, source: Optional[NodeKey] = None, *, gc_enabled: bool = True):
         self._source = source
         self._gc_enabled = gc_enabled
-        self._source_only = source_only
         self._dead: Set[NodeKey] = set()
         self.stats = AGDPStats()
         #: debug-mode callback invoked with ``self`` after every mutating
         #: edge insertion and kill (see repro.testing.invariants); None in
         #: production - the checks are O(n^3) per call
         self.invariant_hook = None
-        if source_only:
-            #: anchor-incident exact distances (see module docstring)
-            self._anchor: Optional[NodeKey] = None
-            self._row: Dict[NodeKey, float] = {}  # d(anchor, .)
-            self._col: Dict[NodeKey, float] = {}  # d(., anchor)
-            #: retained adjacency of the accumulated graph, dead nodes
-            #: included (paths through collected points must survive)
-            self._adj_out: Dict[NodeKey, List[Tuple[NodeKey, float]]] = {}
-            self._adj_in: Dict[NodeKey, List[Tuple[NodeKey, float]]] = {}
-            self._edge_count = 0
-            self._members: Set[NodeKey] = set()
-        else:
-            self._capacity = _INITIAL_CAPACITY
-            # cells outside the active prefix are never read before being
-            # re-initialised by add_node, so the backing store is empty
-            self._matrix = np.empty((self._capacity, self._capacity))
-            #: reusable candidate buffer for the Ausiello outer sum, grown
-            #: with the matrix - keeps the per-edge hot path allocation-free
-            self._scratch = np.empty((self._capacity, self._capacity))
-            self._vec = np.empty(self._capacity)
-            self._n = 0
-            self._slot: Dict[NodeKey, int] = {}
-            self._keys: List[NodeKey] = []  # slot index -> node key
+        self._capacity = _INITIAL_CAPACITY
+        # cells outside the active prefix are never read before being
+        # re-initialised by add_node, so the backing store is empty
+        self._matrix = np.empty((self._capacity, self._capacity))
+        #: reusable candidate buffer for the Ausiello outer sum, grown
+        #: with the matrix - keeps the per-edge hot path allocation-free
+        self._scratch = np.empty((self._capacity, self._capacity))
+        self._vec = np.empty(self._capacity)
+        self._n = 0
+        self._slot: Dict[NodeKey, int] = {}
+        self._keys: List[NodeKey] = []  # slot index -> node key
         if source is not None:
             self.add_node(source)
-            if source_only:
-                self.set_anchor(source)
 
     # -- inspection --------------------------------------------------------------
 
@@ -127,29 +89,14 @@ class NumpyAGDP:
     def gc_enabled(self) -> bool:
         return self._gc_enabled
 
-    @property
-    def source_only(self) -> bool:
-        return self._source_only
-
-    @property
-    def anchor(self) -> Optional[NodeKey]:
-        """The anchor node of source-only mode (None in dense mode)."""
-        return self._anchor if self._source_only else None
-
     def __contains__(self, node: NodeKey) -> bool:
-        if self._source_only:
-            return node in self._members
         return node in self._slot
 
     def __len__(self) -> int:
-        if self._source_only:
-            return len(self._members)
         return len(self._slot)
 
     @property
     def nodes(self) -> Set[NodeKey]:
-        if self._source_only:
-            return set(self._members)
         return set(self._slot)
 
     @property
@@ -163,21 +110,18 @@ class NumpyAGDP:
             raise KeyError(f"node {node!r} is not tracked by this AGDP") from None
 
     def distance(self, x: NodeKey, y: NodeKey) -> float:
-        if self._source_only:
-            return self._so_distance(x, y)
+        """Exact distance from ``x`` to ``y`` in the accumulated graph.
+
+        ``inf`` when ``y`` is unreachable from ``x``.  Both nodes must be
+        present (live, or dead-but-retained when gc is disabled).
+        """
         return float(self._matrix[self._slot_of(x), self._slot_of(y)])
 
     def distances_from(self, x: NodeKey) -> Dict[NodeKey, float]:
-        if self._source_only:
-            self._so_require_anchor(x, "distances_from")
-            return {node: self._row.get(node, INF) for node in self._members}
         row = self._matrix[self._slot_of(x)]
         return {key: float(row[i]) for key, i in self._slot.items()}
 
     def distances_to(self, y: NodeKey) -> Dict[NodeKey, float]:
-        if self._source_only:
-            self._so_require_anchor(y, "distances_to")
-            return {node: self._col.get(node, INF) for node in self._members}
         col = self._matrix[:, self._slot_of(y)]
         return {key: float(col[i]) for key, i in self._slot.items()}
 
@@ -194,50 +138,52 @@ class NumpyAGDP:
         self._capacity = new_capacity
 
     def add_node(self, node: NodeKey) -> None:
-        if node in self:
+        """Insert a new isolated live node (one AGDP input step starts here)."""
+        if node in self._slot:
             raise ValueError(f"node {node!r} already present")
-        if self._source_only:
-            self._members.add(node)
-            self._row.setdefault(node, 0.0 if node == self._anchor else INF)
-            self._col.setdefault(node, 0.0 if node == self._anchor else INF)
-        else:
-            if self._n == self._capacity:
-                self._grow()
-            index = self._n
-            self._n += 1
-            m = self._matrix
-            m[index, : self._n] = np.inf
-            m[: self._n, index] = np.inf
-            m[index, index] = 0.0
-            self._slot[node] = index
-            self._keys.append(node)
+        if self._n == self._capacity:
+            self._grow()
+        index = self._n
+        self._n += 1
+        m = self._matrix
+        m[index, : self._n] = np.inf
+        m[: self._n, index] = np.inf
+        m[index, index] = 0.0
+        self._slot[node] = index
+        self._keys.append(node)
         self.stats.nodes_added += 1
-        self.stats.max_nodes = max(self.stats.max_nodes, len(self))
+        self.stats.max_nodes = max(self.stats.max_nodes, len(self._slot))
 
     def insert_edge(self, x: NodeKey, y: NodeKey, weight: float) -> None:
-        if self._source_only:
-            self._so_insert_edge(x, y, weight)
-            return
+        """Insert edge ``x -> y`` and restore all-pairs exactness.
+
+        Any present endpoints are accepted (:meth:`step` enforces the AGDP
+        contract that one endpoint is the new node).
+        """
+        n = self._n
+        self._insert(self._matrix[:n, :n], x, y, weight)
+
+    def _insert(self, block, x: NodeKey, y: NodeKey, weight: float) -> None:
+        """Checks plus the Ausiello update of ``block`` through ``x -> y``."""
         xi = self._slot_of(x)
         yi = self._slot_of(y)
         if math.isnan(weight):
             raise ValueError("edge weight must not be NaN")
         if math.isinf(weight):
-            return
+            return  # a TOP bound carries no information
         if x == y:
             if weight < 0:
                 raise InconsistentSpecificationError(f"negative self-loop at {x!r}")
             return
-        n = self._n
-        self._relax_block(self._matrix[:n, :n], x, y, xi, yi, weight)
+        self._relax_block(block, x, y, xi, yi, weight)
         if self.invariant_hook is not None:
             self.invariant_hook(self)
 
     def _relax_block(self, block, x, y, xi: int, yi: int, weight: float) -> None:
         """Ausiello update of the active block through edge ``x -> y``.
 
-        ``block`` is the in-place ``[:n, :n]`` view; the only allocation is
-        the candidate outer-sum matrix.
+        ``block`` is the in-place ``[:n, :n]`` view; raises on a negative
+        cycle before any cell changes.
         """
         self.stats.edges_inserted += 1
         back = block[yi, xi]
@@ -248,18 +194,20 @@ class NumpyAGDP:
                 edge=(x, y, weight),
             )
         if weight >= block[xi, yi]:
-            return
+            return  # no path improves
+        # any strictly shorter path uses the new edge exactly once (no
+        # negative cycles), so it decomposes r ~> x -> y ~> s
         to_x = block[:, xi]
         from_y = block[yi, :]
-        # the same quantity the dict backend counts: finite relaxation
-        # candidates, not the full n^2 block (stored distances are finite
-        # or +inf, never NaN/-inf, so ``< inf`` is the finiteness test)
+        # finite relaxation candidates, not the full n^2 block (stored
+        # distances are finite or +inf, never NaN/-inf, so ``< inf`` is
+        # the finiteness test)
         self.stats.pair_updates += np.count_nonzero(to_x < np.inf) * np.count_nonzero(
             from_y < np.inf
         )
-        # (d(r, x) + w) + d(y, s): association matches the dict backend so
-        # both produce bit-identical floats; the candidate matrix lands in
-        # the preallocated scratch block instead of a fresh allocation
+        # (d(r, x) + w) + d(y, s), summed in this order so the reference
+        # solver produces bit-identical floats; the candidate matrix lands
+        # in the preallocated scratch block instead of a fresh allocation
         n = block.shape[0]
         shifted = self._vec[:n]
         np.add(to_x, weight, out=shifted)
@@ -268,17 +216,14 @@ class NumpyAGDP:
         np.minimum(block, scratch, out=block)
 
     def kill(self, node: NodeKey) -> None:
-        if node not in self:
+        """Unmark ``node`` as live; with gc enabled, drop its row and column."""
+        if node not in self._slot:
             raise KeyError(f"node {node!r} is not present")
         if self._source is not None and node == self._source:
             raise ValueError("the source node is live forever")
         self.stats.nodes_killed += 1
         if not self._gc_enabled:
             self._dead.add(node)
-        elif self._source_only:
-            # row/col/adjacency entries are retained: future relaxations may
-            # route through this node (Lemma 3.4); only queryability ends
-            self._members.discard(node)
         else:
             index = self._slot.pop(node)
             n = self._n
@@ -301,189 +246,47 @@ class NumpyAGDP:
     def step(
         self,
         node: NodeKey,
-        edges: Iterable[Tuple[NodeKey, NodeKey, float]],
+        edges: Iterable[Sequence],
         kills: Iterable[NodeKey] = (),
+        on_reject: Optional[
+            Callable[[Sequence, InconsistentSpecificationError], None]
+        ] = None,
     ) -> None:
-        """One AGDP input step, batched.
+        """One AGDP input step: add ``node``, insert ``edges``, kill ``kills``.
 
-        In dense mode the slot resolution and active-block view are hoisted
-        out of the per-edge path: all of the event's incident edges relax
-        the same ``[:n, :n]`` view (no node is added or killed between
-        them, so the prefix is stable).
+        Each edge is a tuple whose first three items are ``(x, y, w)``;
+        any further items are the caller's and are ignored here.  Every
+        edge must have ``node`` as one endpoint (the AGDP contract: new
+        edges connect live nodes to the new node).
+
+        An edge that would close a negative cycle raises
+        :class:`InconsistentSpecificationError`, unless ``on_reject`` is
+        given: then the edge is skipped and ``on_reject(edge, error)``
+        called.  The check runs before the matrix changes, so the matrix
+        stays exact over the accepted edges.
+
+        No node is added or killed between the edges, so they all relax
+        the same ``[:n, :n]`` view.
         """
         self.add_node(node)
-        if self._source_only:
-            for x, y, w in edges:
-                if node not in (x, y):
-                    raise ValueError(
-                        f"AGDP step for {node!r} may only insert incident edges, "
-                        f"got ({x!r}, {y!r})"
-                    )
-                self.insert_edge(x, y, w)
-        else:
-            n = self._n
-            block = self._matrix[:n, :n]
-            for x, y, w in edges:
-                if node not in (x, y):
-                    raise ValueError(
-                        f"AGDP step for {node!r} may only insert incident edges, "
-                        f"got ({x!r}, {y!r})"
-                    )
-                xi = self._slot_of(x)
-                yi = self._slot_of(y)
-                if math.isnan(w):
-                    raise ValueError("edge weight must not be NaN")
-                if math.isinf(w):
-                    continue
-                if x == y:
-                    if w < 0:
-                        raise InconsistentSpecificationError(
-                            f"negative self-loop at {x!r}"
-                        )
-                    continue
-                self._relax_block(block, x, y, xi, yi, w)
-                if self.invariant_hook is not None:
-                    self.invariant_hook(self)
+        n = self._n
+        block = self._matrix[:n, :n]
+        for edge in edges:
+            x, y, w = edge[0], edge[1], edge[2]
+            if node not in (x, y):
+                raise ValueError(
+                    f"AGDP step for {node!r} may only insert incident edges, "
+                    f"got ({x!r}, {y!r})"
+                )
+            try:
+                self._insert(block, x, y, w)
+            except InconsistentSpecificationError as exc:
+                if on_reject is None:
+                    raise
+                on_reject(edge, exc)
         for victim in kills:
             self.kill(victim)
 
-    def step_batch(
-        self,
-        steps: Iterable[
-            Tuple[NodeKey, Iterable[Tuple[NodeKey, NodeKey, float]], Iterable[NodeKey]]
-        ],
-    ) -> None:
-        """Apply many input steps in order (the batch-delivery hot path).
-
-        Same contract as :meth:`repro.core.agdp.AGDP.step_batch`:
-        observable behaviour is identical to sequential :meth:`step` calls.
-        """
-        for node, edges, kills in steps:
-            self.step(node, edges, kills)
-
     def matrix_size(self) -> int:
-        """Current number of distance cells held (space proxy, Lemma 3.5).
-
-        In source-only mode: the two anchor vectors (the matrix is never
-        materialised); adjacency space is reported by ``edge_space()``.
-        """
-        if self._source_only:
-            return 2 * len(self._row)
+        """Current number of distance cells held (space proxy, Lemma 3.5)."""
         return len(self._slot) * len(self._slot)
-
-    def edge_space(self) -> int:
-        """Retained adjacency entries (source-only mode; 0 in dense mode)."""
-        return 2 * self._edge_count if self._source_only else 0
-
-    # -- source-only mode ---------------------------------------------------------
-
-    def set_anchor(self, node: NodeKey) -> None:
-        """Re-anchor the maintained row/column at ``node`` (source-only mode).
-
-        Recomputes ``d(node, .)`` and ``d(., node)`` from scratch over the
-        retained adjacency - O(V * E) worst case, called only when the
-        source representative changes.
-        """
-        if not self._source_only:
-            raise ValueError("set_anchor is only meaningful in source_only mode")
-        if node not in self._members:
-            raise KeyError(f"node {node!r} is not present")
-        self._anchor = node
-        self._row = {n: INF for n in self._row}
-        self._col = {n: INF for n in self._col}
-        self._row[node] = 0.0
-        self._col[node] = 0.0
-        self._so_propagate(self._row, self._adj_out, [node])
-        self._so_propagate(self._col, self._adj_in, [node])
-
-    def _so_require_anchor(self, node: NodeKey, op: str) -> None:
-        if node not in self._members:
-            raise KeyError(f"node {node!r} is not tracked by this AGDP")
-        if node != self._anchor:
-            raise ValueError(
-                f"source-only AGDP can answer {op} only at its anchor "
-                f"({self._anchor!r}), not {node!r}; use the full backend for "
-                "arbitrary pairs"
-            )
-
-    def _so_distance(self, x: NodeKey, y: NodeKey) -> float:
-        if x not in self._members or y not in self._members:
-            raise KeyError(f"node {x!r} or {y!r} is not tracked by this AGDP")
-        if x == self._anchor:
-            return self._row.get(y, INF)
-        if y == self._anchor:
-            return self._col.get(x, INF)
-        if x == y:
-            return 0.0
-        raise ValueError(
-            f"source-only AGDP cannot answer d({x!r}, {y!r}): neither endpoint "
-            f"is the anchor ({self._anchor!r}); use the full backend for "
-            "arbitrary pairs"
-        )
-
-    def _so_insert_edge(self, x: NodeKey, y: NodeKey, weight: float) -> None:
-        if x not in self._members or y not in self._members:
-            raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
-        if math.isnan(weight):
-            raise ValueError("edge weight must not be NaN")
-        if math.isinf(weight):
-            return
-        if x == y:
-            if weight < 0:
-                raise InconsistentSpecificationError(f"negative self-loop at {x!r}")
-            return
-        self.stats.edges_inserted += 1
-        # the one cycle visible without the full matrix: through the anchor
-        if self._anchor is not None:
-            back = self._col.get(y, INF) + self._row.get(x, INF)
-            if back + weight < -1e-9:
-                raise InconsistentSpecificationError(
-                    f"inserting ({x!r} -> {y!r}, {weight}) closes a negative "
-                    f"cycle through the anchor (d({y!r}, {x!r}) <= {back})",
-                    edge=(x, y, weight),
-                )
-        self._adj_out.setdefault(x, []).append((y, weight))
-        self._adj_in.setdefault(y, []).append((x, weight))
-        self._edge_count += 1
-        if self._anchor is None:
-            return
-        if self._row[x] + weight < self._row[y]:
-            self._row[y] = self._row[x] + weight
-            self._so_propagate(self._row, self._adj_out, [y])
-        if self._col[y] + weight < self._col[x]:
-            self._col[x] = self._col[y] + weight
-            self._so_propagate(self._col, self._adj_in, [x])
-        if self.invariant_hook is not None:
-            self.invariant_hook(self)
-
-    def _so_propagate(
-        self,
-        dist: Dict[NodeKey, float],
-        adjacency: Dict[NodeKey, List[Tuple[NodeKey, float]]],
-        seeds: List[NodeKey],
-    ) -> None:
-        """Label-correcting relaxation from ``seeds`` (queue Bellman-Ford).
-
-        Exact for graphs without negative cycles; a FIFO queue pops each
-        node at most V times, so exceeding ``(V + 1)^2`` pops proves a
-        negative cycle (raised as inconsistency - the adversary's problem,
-        not ours, but detected after the adjacency mutation; see the module
-        docstring for why degraded mode cannot use this backend).
-        """
-        queue = deque(seeds)
-        pops = 0
-        limit = (len(dist) + 1) ** 2
-        while queue:
-            u = queue.popleft()
-            pops += 1
-            if pops > limit:
-                raise InconsistentSpecificationError(
-                    "relaxation did not converge: the inserted constraints "
-                    "contain a negative cycle"
-                )
-            du = dist[u]
-            for v, w in adjacency.get(u, ()):
-                self.stats.pair_updates += 1
-                if du + w < dist[v]:
-                    dist[v] = du + w
-                    queue.append(v)

@@ -10,9 +10,14 @@ Per processor the algorithm composes three pieces:
    learned events into AGDP steps - one new node plus its incident
    synchronization-graph edges, followed by the kill-set of points that
    ceased to be live;
-3. the **AGDP solver** (Figure 3, :class:`~repro.core.agdp.AGDP`), which
-   maintains exact distances between all live points in `O(L^2)` space and
-   `O(L^2)` time per inserted edge (Lemmas 3.4/3.5).
+3. the **AGDP solver** (Figure 3, :class:`~repro.core.agdp_numpy.NumpyAGDP`),
+   which maintains exact distances between all live points in `O(L^2)`
+   space and `O(L^2)` time per inserted edge (Lemmas 3.4/3.5).
+
+Every event - local, reported by a neighbor, or replayed after an
+eviction or a recovery - enters the graph layer through one routine,
+:meth:`EfficientCSA._agdp_insert`: it builds the event's drift and transit
+edges once and applies them as one AGDP step.
 
 The estimate at a point ``p`` is then read off AGDP distances to/from the
 latest known source point ``sp`` (always live - it is the last known point
@@ -32,23 +37,13 @@ and each processor garbage-collects the point from its AGDP.
 cycle can only appear when the execution violates its own specification
 (out-of-spec drift or delay) - the AGDP refuses the closing edge with
 :class:`~repro.core.errors.InconsistentSpecificationError` *before*
-mutating its matrix.  In degraded mode the estimator catches that per
-edge, quarantines the constraint, records a structured
+mutating its matrix.  Plain mode lets that error propagate.  In degraded
+mode the AGDP step skips the edge and hands it to the estimator, which
+quarantines the constraint, records a structured
 :class:`QuarantineDiagnostic`, and keeps answering queries from the
 remaining (still mutually consistent) constraints.  Dropping constraints
 is sound: distances only grow, so bounds only widen; it merely forfeits
 optimality for the affected pairs.
-
-**AGDP backends** (``agdp_backend``): ``"dict"`` (pure-Python, the
-reference), ``"numpy"`` (compacted dense matrix, vectorised Ausiello
-update - observably identical to the dict solver and the default
-wherever numpy is importable; pass ``"dict"`` explicitly to force the
-pure-Python solver), and
-``"numpy-source-only"`` (maintains only the source representative's
-distance row/column by incremental relaxation - O(affected edges) per
-insertion; :meth:`estimate` and :meth:`estimate_of` work,
-:meth:`relative_estimate` raises, degraded/hardened modes are rejected).
-See docs/PERFORMANCE.md for the selection guide.
 
 **Hardened mode** (``suspicion=SuspicionPolicy(...)``; implies degraded
 mode): the Byzantine-input pipeline of docs/FAULTS.md.  Incoming history
@@ -75,9 +70,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
-from .agdp import AGDP
+from .agdp_numpy import NumpyAGDP
 from .bootstrap import BootstrapSnapshot
 from .csa_base import Estimator, SuspicionPolicy, SuspicionTracker
 from .errors import InconsistentSpecificationError, ProtocolError
@@ -89,22 +85,6 @@ from .specs import SystemSpec, TOP
 from .validate import ValidationFailure, validate_payload
 
 __all__ = ["EfficientCSA", "CSAStats", "QuarantineDiagnostic", "RecoveryEvent"]
-
-_NUMPY_AVAILABLE: Optional[bool] = None
-
-
-def _numpy_available() -> bool:
-    """Whether the vectorised AGDP backend can be imported (cached)."""
-    global _NUMPY_AVAILABLE
-    if _NUMPY_AVAILABLE is None:
-        try:
-            import numpy  # noqa: F401
-
-            _NUMPY_AVAILABLE = True
-        except ImportError:  # pragma: no cover - numpy is a test dependency
-            _NUMPY_AVAILABLE = False
-    return _NUMPY_AVAILABLE
-
 
 @dataclass(frozen=True)
 class QuarantineDiagnostic:
@@ -181,7 +161,6 @@ class EfficientCSA(Estimator):
         *,
         reliable: bool = True,
         agdp_gc: bool = True,
-        agdp_backend: Optional[str] = None,
         history_gc: bool = True,
         track_reports: bool = False,
         degraded_mode: bool = False,
@@ -190,31 +169,6 @@ class EfficientCSA(Estimator):
         debug_checks: Optional[bool] = None,
     ):
         super().__init__(proc, spec)
-        if agdp_backend is None:
-            # the vectorised backend is observably identical to the dict
-            # solver (bit-identical distances and counters, enforced by
-            # tests/core/test_agdp_numpy.py) and far faster on the payload
-            # hot path, so it is the default wherever numpy exists
-            agdp_backend = "numpy" if _numpy_available() else "dict"
-        if agdp_backend == "numpy-source-only" and (
-            degraded_mode or suspicion is not None
-        ):
-            # quarantine needs insert_edge to refuse a bad constraint
-            # *before* mutating; the source-only solver detects negative
-            # cycles only during relaxation, after the adjacency changed
-            raise ValueError(
-                "the 'numpy-source-only' AGDP backend cannot run in degraded "
-                "or hardened mode (no pre-mutation inconsistency detection); "
-                "use 'dict' or 'numpy'"
-            )
-        if agdp_backend == "numpy-source-only" and self_heal:
-            # the structural audit reads matrix diagonals and the recovery
-            # path replays pairwise constraints; the anchored row/column
-            # solver retains neither
-            raise ValueError(
-                "the 'numpy-source-only' AGDP backend cannot self-heal; "
-                "use 'dict' or 'numpy'"
-            )
         # expensive structural self-checks after every event hook and AGDP
         # mutation; None defers to the REPRO_DEBUG environment variable
         from ..testing.invariants import debug_checks_enabled
@@ -230,12 +184,11 @@ class EfficientCSA(Estimator):
             gc_enabled=history_gc,
         )
         self.live = LiveTracker()
-        self._agdp_backend = agdp_backend
         self._agdp_gc = agdp_gc
         self.agdp = self._make_agdp()
         self.reliable = reliable
         #: quarantine instead of raising on InconsistentSpecificationError;
-        #: hardened mode needs the per-edge path, so suspicion implies it
+        #: hardened mode blames quarantined edges, so suspicion implies it
         self.degraded_mode = degraded_mode or suspicion is not None
         #: structured diagnostics of quarantined constraints (degraded mode)
         self.diagnostics: List[QuarantineDiagnostic] = []
@@ -277,26 +230,8 @@ class EfficientCSA(Estimator):
         self.recoveries = 0
         self.recovery_events: List[RecoveryEvent] = []
 
-    def _make_agdp(self):
-        if self._agdp_backend == "dict":
-            agdp = AGDP(gc_enabled=self._agdp_gc)
-        elif self._agdp_backend == "numpy":
-            from .agdp_numpy import NumpyAGDP
-
-            agdp = NumpyAGDP(gc_enabled=self._agdp_gc)
-        elif self._agdp_backend == "numpy-source-only":
-            # O(affected edges) per insertion instead of O(L^2): maintains
-            # only the source representative's distance row/column, which
-            # is all estimate()/estimate_of() read.  relative_estimate()
-            # needs arbitrary pairs and raises; see docs/PERFORMANCE.md.
-            from .agdp_numpy import NumpyAGDP
-
-            agdp = NumpyAGDP(gc_enabled=self._agdp_gc, source_only=True)
-        else:
-            raise ValueError(
-                f"unknown AGDP backend {self._agdp_backend!r} "
-                "(use 'dict', 'numpy', or 'numpy-source-only')"
-            )
+    def _make_agdp(self) -> NumpyAGDP:
+        agdp = NumpyAGDP(gc_enabled=self._agdp_gc)
         if self._debug_checks:
             from ..testing.invariants import check_agdp_invariants
 
@@ -329,7 +264,7 @@ class EfficientCSA(Estimator):
         self._audit(event.lt)
         self._track_local(event)
         self.history.record_local(event)
-        self._ingest(event)
+        self._agdp_insert(event)
         payload, token = self.history.prepare_payload(event.dest)
         if not self.reliable:
             self._pending_tokens[event.eid] = token
@@ -350,7 +285,8 @@ class EfficientCSA(Estimator):
         if self.suspicion is not None:
             payload = self._screen_payload(sender, payload, event)
         new_events, new_flags = self.history.ingest_payload(sender, payload)
-        self._ingest_reported(new_events)
+        for reported in new_events:
+            self._agdp_insert(reported)
         if self._retain_log:
             # records the history re-buffered rather than learned (covered
             # by an adopted frontier) never reach the event log; retain
@@ -364,7 +300,7 @@ class EfficientCSA(Estimator):
                 ):
                     self._rebuffer_log[record.eid] = record
         self.history.record_local(event)
-        self._ingest(event)
+        self._agdp_insert(event)
         for flag in new_flags:
             self._apply_loss_flag(flag)
         self._maybe_rehabilitate()
@@ -374,7 +310,7 @@ class EfficientCSA(Estimator):
         self._audit(event.lt)
         self._track_local(event)
         self.history.record_local(event)
-        self._ingest(event)
+        self._agdp_insert(event)
         self._maybe_rehabilitate()
         self._debug_check()
 
@@ -451,11 +387,6 @@ class EfficientCSA(Estimator):
         :mod:`repro.core.bootstrap`).  Call *after* recording the send
         event of the handshake message, so the snapshot covers it.
         """
-        if getattr(self.agdp, "source_only", False):
-            raise ProtocolError(
-                "the 'numpy-source-only' backend retains no pairwise "
-                "distances to hand off; sponsor with 'dict' or 'numpy'"
-            )
         last = tuple(
             (proc, seq, lt, is_send)
             for proc, (seq, lt, is_send) in sorted(self.live.last_events().items())
@@ -495,11 +426,6 @@ class EfficientCSA(Estimator):
         """
         if not self.is_fresh:
             return False
-        if getattr(self.agdp, "source_only", False):
-            raise ProtocolError(
-                "the 'numpy-source-only' backend cannot bootstrap "
-                "(no pairwise distance storage); use 'dict' or 'numpy'"
-            )
         sponsor = (
             snapshot.sponsor if snapshot.sponsor in self.history.neighbors else None
         )
@@ -652,88 +578,26 @@ class EfficientCSA(Estimator):
 
     # -- core insertion ------------------------------------------------------------
 
-    def _ingest_reported(self, events: List[Event]) -> None:
-        """Insert a delivered payload's fresh records as one AGDP batch.
-
-        One payload of ``k`` events costs one :meth:`AGDP.step_batch` call
-        instead of ``k`` scalar passes.  The steps are handed over as a
-        generator, so each event's edges and kill-set are computed against
-        the live/AGDP state left by the *previous* step - interleaving,
-        counters, and failure points are identical to the scalar loop.
-
-        Hardened, degraded, and source-only estimators keep the scalar
-        path: those modes mutate blame/quarantine/anchor state mid-stream,
-        which the streamlined step generator does not model.
-        """
-        if (
-            self.suspicion is not None
-            or self.degraded_mode
-            or getattr(self.agdp, "source_only", False)
-        ):
-            for event in events:
-                self._ingest(event)
-            return
-        self.agdp.step_batch(self._reported_steps(events))
-
-    def _reported_steps(self, events: List[Event]):
-        """Yield ``(node, edges, kills)`` AGDP steps for reported events.
-
-        The edge construction mirrors :meth:`_agdp_insert`'s non-hardened,
-        non-degraded branch exactly; see there for the constraint
-        derivations.  Lazy on purpose: :meth:`AGDP.step_batch` pulls the
-        next step only after applying the previous one, so even the state
-        left behind by a mid-payload failure matches the scalar loop.
-        """
-        live = self.live
-        agdp = self.agdp
-        spec = self.spec
-        source = spec.source
-        retain = self._retain_log and not self._replaying
-        for event in events:
-            eid = event.eid
-            if retain:
-                self._event_log.append(event)
-                self._log_index[eid] = event
-            edges: List[Tuple[EventId, EventId, float]] = []
-            pred = live.last_event(event.proc)
-            if pred is not None:
-                pred_id, pred_lt = pred
-                if pred_id != eid.pred():
-                    raise ProtocolError(
-                        f"{self.proc!r} inserting {eid} after {pred_id} (gap)"
-                    )
-                drift = spec.drift_of(event.proc)
-                delta = event.lt - pred_lt
-                edges.append((eid, pred_id, (drift.beta - 1.0) * delta))
-                edges.append((pred_id, eid, (1.0 - drift.alpha) * delta))
-            if event.is_receive:
-                send_lt = live.send_lt(event.send_eid)
-                if send_lt is not None and event.send_eid in agdp:
-                    transit = spec.transit_of(event.send_eid.proc, event.proc)
-                    observed = event.lt - send_lt
-                    if transit.is_bounded:
-                        edges.append(
-                            (eid, event.send_eid, transit.upper - observed)
-                        )
-                    edges.append((event.send_eid, eid, observed - transit.lower))
-            kills = [k for k in live.observe(event) if k in agdp]
-            if event.proc == source:
-                self._source_rep = eid
-            yield eid, edges, kills
-
-    def _ingest(self, event: Event) -> None:
-        """Log (hardened/self-heal mode) and insert one event into the graph layer."""
-        if self._retain_log and not self._replaying:
-            self._event_log.append(event)
-            self._log_index[event.eid] = event
-        self._agdp_insert(event)
-
     def _agdp_insert(self, event: Event) -> None:
         """One AGDP step: insert ``event`` with its incident edges, then kill.
 
-        Events must arrive in a topological order of the view; the history
-        protocol guarantees this for reported events and the caller
-        interleaves local events correctly.
+        The only way into the graph layer: local events, reported events,
+        and eviction/recovery replays all come through here.  Events must
+        arrive in a topological order of the view; the history protocol
+        guarantees this for reported events and the caller interleaves
+        local events correctly.  Outside replays the event is also logged
+        (hardened and self-healing estimators keep the replay source).
+
+        Each edge is built once as ``(x, y, w, kind)``:
+
+        * ``kind == "drift"``: the two edges between the event and its
+          predecessor on the same processor, from the drift bounds
+          ``alpha <= dRT/dLT <= beta`` over the local-time gap;
+        * ``kind == "transit"``: for a receive, the two edges between the
+          send and the receive, from the link's transit bounds.
+
+        In degraded mode the AGDP step hands every edge that would close a
+        negative cycle to :meth:`_quarantine` instead of raising.
 
         In hardened mode events of evicted (or excised-range) processors
         still pass through the live tracker - continuity of the tracked
@@ -741,26 +605,34 @@ class EfficientCSA(Estimator):
         edges to the AGDP.
         """
         eid = event.eid
+        if self._retain_log and not self._replaying:
+            self._event_log.append(event)
+            self._log_index[eid] = event
+        live = self.live
+        agdp = self.agdp
+        spec = self.spec
         hardened = self.suspicion is not None
         excluded = hardened and self.suspicion.is_excluded(eid)
         blames: List[Tuple[ProcessorId, str, str]] = []
         edges: List[Tuple[EventId, EventId, float, str]] = []
         if not excluded:
-            pred = self.live.last_event(event.proc)
+            pred = live.last_event(event.proc)
             if pred is not None:
                 pred_id, pred_lt = pred
                 if pred_id != eid.pred():
                     raise ProtocolError(
                         f"{self.proc!r} inserting {eid} after {pred_id} (gap)"
                     )
-                drift = self.spec.drift_of(event.proc)
-                delta = event.lt - pred_lt
-                edges.append((eid, pred_id, (drift.beta - 1.0) * delta, "drift"))
-                edges.append((pred_id, eid, (1.0 - drift.alpha) * delta, "drift"))
+                # absent only when the predecessor's claim is excluded
+                if pred_id in agdp:
+                    drift = spec.drift_of(event.proc)
+                    delta = event.lt - pred_lt
+                    edges.append((eid, pred_id, (drift.beta - 1.0) * delta, "drift"))
+                    edges.append((pred_id, eid, (1.0 - drift.alpha) * delta, "drift"))
             if event.is_receive:
-                send_lt = self.live.send_lt(event.send_eid)
-                if send_lt is not None and event.send_eid in self.agdp:
-                    transit = self.spec.transit_of(event.send_eid.proc, event.proc)
+                send_lt = live.send_lt(event.send_eid)
+                if send_lt is not None and event.send_eid in agdp:
+                    transit = spec.transit_of(event.send_eid.proc, event.proc)
                     observed = event.lt - send_lt
                     if transit.is_bounded:
                         edges.append(
@@ -776,9 +648,9 @@ class EfficientCSA(Estimator):
         if (
             hardened
             and event.is_receive
-            and self.live.send_lt(event.send_eid) is None
-            and self.live.knows(event.send_eid)
-            and event.send_eid not in self.live.lost_flags
+            and live.send_lt(event.send_eid) is None
+            and live.knows(event.send_eid)
+            and event.send_eid not in live.lost_flags
         ):
             # the send id resolves to something the tracker does not hold as
             # an undelivered send - for honest input a double delivery, but a
@@ -792,55 +664,50 @@ class EfficientCSA(Estimator):
                     "known but not an undelivered send",
                 )
             )
-        kills = [
-            k
-            for k in self.live.observe(event, lenient=hardened)
-            if k in self.agdp
-        ]
+        kills = [k for k in live.observe(event, lenient=hardened) if k in agdp]
         if excluded:
             for victim in kills:
-                self.agdp.kill(victim)
-            self._finish_insert(event, blames)
-            return
-        if not self.degraded_mode:
-            self.agdp.step(eid, [(x, y, w) for x, y, w, _k in edges], kills)
+                agdp.kill(victim)
         else:
-            # per-edge insertion so one inconsistent constraint can be
-            # quarantined without losing the rest; insert_edge raises
-            # *before* mutating, so the matrix stays exact over the
-            # accepted constraints
-            self.agdp.add_node(eid)
-            for x, y, w, kind in edges:
-                if x not in self.agdp or y not in self.agdp:
-                    continue  # the other endpoint belongs to an evicted claim
-                try:
-                    self.agdp.insert_edge(x, y, w)
-                except InconsistentSpecificationError as exc:
-                    if not self._replaying:
-                        self.diagnostics.append(
-                            QuarantineDiagnostic(
-                                event=eid, edge=(x, y, w), kind=kind, reason=str(exc)
-                            )
-                        )
-                    if hardened:
-                        for accused in sorted(
-                            {x.proc, y.proc} - set(self.suspicion.protected)
-                        ):
-                            blames.append(
-                                (
-                                    accused,
-                                    "quarantine",
-                                    f"constraint ({x}, {y}, {w:.4g}) closed a "
-                                    "negative cycle",
-                                )
-                            )
-            for victim in kills:
-                self.agdp.kill(victim)
-        if event.proc == self.spec.source:
-            self._source_rep = eid
-            if getattr(self.agdp, "source_only", False):
-                self.agdp.set_anchor(eid)
-        self._finish_insert(event, blames)
+            on_reject = (
+                partial(self._quarantine, eid, blames) if self.degraded_mode else None
+            )
+            agdp.step(eid, edges, kills, on_reject)
+            if event.proc == spec.source:
+                self._source_rep = eid
+        if blames:
+            self._finish_insert(event, blames)
+
+    def _quarantine(
+        self,
+        eid: EventId,
+        blames: List[Tuple[ProcessorId, str, str]],
+        edge: Tuple[EventId, EventId, float, str],
+        exc: InconsistentSpecificationError,
+    ) -> None:
+        """Record one edge the AGDP step refused (degraded mode).
+
+        The step has already skipped the edge, leaving the matrix exact over
+        the accepted constraints.  Hardened mode also blames the edge's
+        unprotected endpoints; the blame waits in ``blames`` for
+        :meth:`_finish_insert`.
+        """
+        x, y, w, kind = edge
+        if not self._replaying:
+            self.diagnostics.append(
+                QuarantineDiagnostic(
+                    event=eid, edge=(x, y, w), kind=kind, reason=str(exc)
+                )
+            )
+        if self.suspicion is not None:
+            for accused in sorted({x.proc, y.proc} - set(self.suspicion.protected)):
+                blames.append(
+                    (
+                        accused,
+                        "quarantine",
+                        f"constraint ({x}, {y}, {w:.4g}) closed a negative cycle",
+                    )
+                )
 
     def _finish_insert(
         self, event: Event, blames: List[Tuple[ProcessorId, str, str]]
@@ -851,7 +718,7 @@ class EfficientCSA(Estimator):
         in place; doing that mid-insertion would leave the step half
         applied to the old structures.
         """
-        if not blames or self.suspicion is None or self._replaying:
+        if self.suspicion is None or self._replaying:
             return
         evicted = False
         for proc, kind, detail in blames:

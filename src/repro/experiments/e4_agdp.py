@@ -14,11 +14,11 @@ measured separately by the pytest benchmark for this experiment.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from ..analysis.claims import ClaimCheck
 from ..analysis.complexity import loglog_slope
-from ..core.agdp import AGDP
+from ..core.agdp_numpy import NumpyAGDP
 from .base import ExperimentResult, experiment
 
 __all__ = ["run", "steady_state_agdp"]
@@ -31,7 +31,7 @@ def steady_state_agdp(
     degree: int = 3,
     seed: int = 0,
     gc_enabled: bool = True,
-    backend: str = "dict",
+    solver: Callable = NumpyAGDP,
 ):
     """Run a synthetic AGDP workload holding ~``live_target`` live nodes.
 
@@ -40,21 +40,12 @@ def steady_state_agdp(
     ``(x, y)`` weighs ``phi(y) - phi(x)`` plus a non-negative slack, so
     weights are freely negative yet every cycle is non-negative - exactly
     the structure Theorem 2.1 guarantees for consistent views.
+
+    ``solver`` is the AGDP class to drive (the benchmarks also pass the
+    reference dict solver, to time the two against each other).
     """
     rng = random.Random(seed)
-    if backend == "dict":
-        agdp = AGDP(source=("n", 0), gc_enabled=gc_enabled)
-    elif backend == "numpy":
-        from ..core.agdp_numpy import NumpyAGDP
-
-        agdp = NumpyAGDP(source=("n", 0), gc_enabled=gc_enabled)
-    elif backend == "numpy-source-only":
-        from ..core.agdp_numpy import NumpyAGDP
-
-        # anchored at the immortal source node ("n", 0)
-        agdp = NumpyAGDP(source=("n", 0), gc_enabled=gc_enabled, source_only=True)
-    else:
-        raise ValueError(f"unknown AGDP backend {backend!r}")
+    agdp = solver(source=("n", 0), gc_enabled=gc_enabled)
     pool: List[tuple] = [("n", 0)]
     potential = {("n", 0): 0.0}
     next_id = 1

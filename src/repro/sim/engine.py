@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.csa_base import Estimator
-from ..core.errors import ProtocolError, SimulationError
+from ..core.errors import SimulationError
 from ..core.events import Event, EventId, EventKind, ProcessorId
 from .clock import ClockModel
 from .faults import ActiveFaults, FaultPlan, RetransmitPolicy, scramble_estimator
@@ -551,11 +551,7 @@ class Simulation:
             adopt_fn = getattr(estimator, "bootstrap_from", None)
             if snap_fn is None or adopt_fn is None:
                 continue
-            try:
-                snapshot = snap_fn()
-            except ProtocolError:
-                continue  # source-only backends hold no pairwise distances
-            if adopt_fn(snapshot):
+            if adopt_fn(snap_fn()):
                 bootstrapped = True
         self.faults.injected[
             "joins_bootstrapped" if bootstrapped else "joins_cold"
@@ -570,6 +566,10 @@ class Simulation:
         drained as one batch (:meth:`_deliver_batch`); execution order and
         all observable behaviour are identical to the scalar loop - the
         batch merely amortizes per-delivery lookups and local-time reads.
+
+        ``now`` advances to ``rt_limit`` only when the run ended below
+        ``max_actions``; a run that used up its action budget leaves it at
+        the last executed action, so single-stepping never jumps ahead.
         """
         executed = 0
         queue = self._queue
@@ -595,7 +595,8 @@ class Simulation:
             self.now = rt
             action()
             executed += 1
-        self.now = max(self.now, rt_limit)
+        if max_actions is None or executed < max_actions:
+            self.now = max(self.now, rt_limit)
         return executed
 
     def _deliver_batch(

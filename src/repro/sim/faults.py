@@ -362,25 +362,12 @@ def scramble_estimator(estimator, scope: str, rng: random.Random) -> bool:
 
 
 def _scramble_agdp(agdp, rng: random.Random) -> bool:
-    nodes = sorted(agdp.nodes)
-    if not nodes:
-        return False
-    dist = getattr(agdp, "_dist", None)
-    if dist is not None:  # dict backend
-        for x in nodes:
-            row = dist[x]
-            for y in list(row):
-                if y != x and math.isfinite(row[y]):
-                    row[y] += rng.uniform(-2.0, 2.0)
-            row[x] = rng.uniform(0.5, 3.0)  # nonzero diagonal: the detector
-        return True
-    matrix = getattr(agdp, "_matrix", None)
-    if matrix is None:
-        return False  # source-only backend keeps no matrix to scramble
+    matrix = agdp._matrix
     n = agdp._n
     for i in range(n):
         for j in range(n):
             if i == j:
+                # a nonzero diagonal is what the structural audit detects
                 matrix[i, j] = rng.uniform(0.5, 3.0)
             elif math.isfinite(matrix[i, j]):
                 matrix[i, j] = matrix[i, j] + rng.uniform(-2.0, 2.0)

@@ -17,9 +17,9 @@ algorithm against independently derived ground truth:
   (imported lazily so the rest of the package works without hypothesis).
 - :mod:`repro.testing.mutants` - deliberately broken estimator variants
   for mutation smoke tests.
-- :mod:`repro.testing.reference` - the pre-optimization AGDP/history
-  implementations, frozen as differential oracles for the hot-path
-  rewrites.
+- :mod:`repro.testing.reference` - the pure-Python dict AGDP solver and
+  the pre-optimization AGDP/history implementations, frozen as
+  differential oracles for the production solver and hot-path rewrites.
 """
 
 from .asserts import DEFAULT_TOLERANCE, assert_bound_equal, bounds_equal, endpoint_equal
@@ -41,7 +41,7 @@ from .invariants import (
     debug_checks_enabled,
 )
 from .mutants import BrokenGCCSA, broken_gc_factory
-from .reference import ReferenceHistoryModule, ReferenceNumpyAGDP
+from .reference import ReferenceAGDP, ReferenceHistoryModule, ReferenceNumpyAGDP
 from .oracle import (
     OracleInconsistencyError,
     oracle_all_pairs,
@@ -62,6 +62,7 @@ __all__ = [
     "Divergence",
     "InvariantViolation",
     "OracleInconsistencyError",
+    "ReferenceAGDP",
     "ReferenceHistoryModule",
     "ReferenceNumpyAGDP",
     "assert_bound_equal",

@@ -2,8 +2,8 @@
 
 These checks are *internal consistency* assertions - cheap enough to run
 after every mutation in a test, far too expensive for production.  They
-are wired into :class:`~repro.core.csa.EfficientCSA` and both AGDP
-backends behind the ``REPRO_DEBUG=1`` environment variable (or the
+are wired into :class:`~repro.core.csa.EfficientCSA` and its AGDP
+solver behind the ``REPRO_DEBUG=1`` environment variable (or the
 explicit ``debug_checks=True`` constructor flag): every edge insertion and
 every GC pass re-validates the structure it just touched.
 
@@ -65,33 +65,10 @@ def _fail(message: str) -> None:
 def check_agdp_invariants(agdp, *, tolerance: float = 1e-6) -> None:
     """Validate one AGDP matrix: self-distances, cycles, triangle closure.
 
-    Works against both the dict and the numpy backend (anything with
-    ``nodes`` and ``distance``).  O(n^3) - debug mode only.
-
-    A source-only solver cannot answer arbitrary pairs; for it the check
-    reduces to what is observable: zero anchor self-distance, no NaN in
-    the anchor row/column, and every anchor-through cycle non-negative
-    (``d(anchor, x) + d(x, anchor) >= 0``, Theorem 2.1).
+    Works against any solver with ``nodes`` and ``distance`` (the
+    production :class:`~repro.core.agdp_numpy.NumpyAGDP` and the reference
+    dict solver).  O(n^3) - debug mode only.
     """
-    if getattr(agdp, "source_only", False):
-        anchor = agdp.anchor
-        if anchor is None:
-            return
-        if agdp.distance(anchor, anchor) != 0.0:
-            _fail(f"anchor self-distance is {agdp.distance(anchor, anchor)}")
-        for x in agdp.nodes:
-            d_ax = agdp.distance(anchor, x)
-            d_xa = agdp.distance(x, anchor)
-            if math.isnan(d_ax) or math.isnan(d_xa):
-                _fail(f"anchor distance to {x} is NaN")
-            if math.isinf(d_ax) or math.isinf(d_xa):
-                continue
-            if d_ax + d_xa < -tolerance:
-                _fail(
-                    f"negative cycle through the anchor at {x}: "
-                    f"{d_ax} + {d_xa}"
-                )
-        return
     nodes = sorted(agdp.nodes)
     dist = {x: {y: agdp.distance(x, y) for y in nodes} for x in nodes}
     for x in nodes:

@@ -1,4 +1,10 @@
-"""Pre-optimization reference implementations, kept as differential oracles.
+"""Reference implementations, kept as differential oracles.
+
+:class:`ReferenceAGDP` is the pure-Python dict solver of Figure 3: the
+Ausiello update as a plain double loop over nested dicts.  It shares no
+code with :class:`~repro.core.agdp_numpy.NumpyAGDP`, so the solver parity
+tests (``tests/core/test_agdp_numpy.py``) compare the production matrix
+against it - distances, counters, and errors.
 
 The hot-path optimization pass (compacted zero-copy :class:`NumpyAGDP`,
 indexed :class:`HistoryModule`) must be *observationally identical* to the
@@ -16,7 +22,7 @@ fancy-indexed block copies per edge).
 
 One known, intentional divergence: :class:`ReferenceNumpyAGDP` charges
 ``pair_updates`` for the full active block (``n^2`` per improving edge)
-where production backends count only finite relaxation candidates - the
+where the other solvers count only finite relaxation candidates - the
 counter-parity bug the optimization pass fixed.  Distance surfaces are
 what these oracles are for; do not compare ``pair_updates`` against them.
 """
@@ -35,13 +41,185 @@ from ..core.errors import InconsistentSpecificationError, ProtocolError
 from ..core.events import Event, EventId, ProcessorId
 from ..core.history import HistoryPayload, HistoryStats
 
-__all__ = ["ReferenceHistoryModule", "ReferenceNumpyAGDP"]
+__all__ = ["ReferenceAGDP", "ReferenceHistoryModule", "ReferenceNumpyAGDP"]
 
 INF = math.inf
 
 NodeKey = Hashable
 
 _INITIAL_CAPACITY = 16
+
+
+
+class ReferenceAGDP:
+    """The pure-Python dict AGDP solver (nested dicts, double-loop update).
+
+    Node keys are arbitrary hashables.  Weights may be negative; a negative
+    cycle (impossible for views of real executions) raises
+    :class:`InconsistentSpecificationError`.
+    """
+
+    def __init__(self, source: Optional[NodeKey] = None, *, gc_enabled: bool = True):
+        self._dist: Dict[NodeKey, Dict[NodeKey, float]] = {}
+        self._source = source
+        self._gc_enabled = gc_enabled
+        #: retained only when gc is disabled, to answer is_live queries
+        self._dead: Set[NodeKey] = set()
+        self.stats = AGDPStats()
+        #: debug-mode callback invoked with ``self`` after every mutating
+        #: edge insertion and kill (see repro.testing.invariants); None in
+        #: production - the checks are O(n^3) per call
+        self.invariant_hook = None
+        if source is not None:
+            self.add_node(source)
+
+    # -- inspection --------------------------------------------------------------
+
+    @property
+    def source(self) -> NodeKey:
+        return self._source
+
+    @property
+    def gc_enabled(self) -> bool:
+        return self._gc_enabled
+
+    def __contains__(self, node: NodeKey) -> bool:
+        return node in self._dist
+
+    def __len__(self) -> int:
+        return len(self._dist)
+
+    @property
+    def nodes(self) -> Set[NodeKey]:
+        return set(self._dist)
+
+    @property
+    def live_nodes(self) -> Set[NodeKey]:
+        return set(self._dist) - self._dead
+
+    def distance(self, x: NodeKey, y: NodeKey) -> float:
+        """Exact distance from ``x`` to ``y`` in the accumulated graph.
+
+        ``inf`` when ``y`` is unreachable from ``x``.  Both nodes must be
+        present (live, or dead-but-retained when gc is disabled).
+        """
+        try:
+            return self._dist[x][y]
+        except KeyError:
+            raise KeyError(f"node {x!r} or {y!r} is not tracked by this AGDP") from None
+
+    def distances_from(self, x: NodeKey) -> Dict[NodeKey, float]:
+        return dict(self._dist[x])
+
+    def distances_to(self, y: NodeKey) -> Dict[NodeKey, float]:
+        if y not in self._dist:
+            raise KeyError(f"node {y!r} is not tracked by this AGDP")
+        return {x: row[y] for x, row in self._dist.items()}
+
+    # -- mutation ----------------------------------------------------------------
+
+    def add_node(self, node: NodeKey) -> None:
+        """Insert a new isolated live node (one AGDP input step starts here)."""
+        if node in self._dist:
+            raise ValueError(f"node {node!r} already present")
+        for row in self._dist.values():
+            row[node] = INF
+        self._dist[node] = {other: INF for other in self._dist}
+        self._dist[node][node] = 0.0
+        self.stats.nodes_added += 1
+        self.stats.max_nodes = max(self.stats.max_nodes, len(self._dist))
+
+    def insert_edge(self, x: NodeKey, y: NodeKey, weight: float) -> None:
+        """Insert edge ``x -> y`` and restore all-pairs exactness.
+
+        Per the AGDP specification at least one endpoint is the newly added
+        node and the other is live, but the update is correct for any
+        present endpoints; the relaxed precondition is convenient for the
+        ablation modes.
+        """
+        if x not in self._dist or y not in self._dist:
+            raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
+        if math.isnan(weight):
+            raise ValueError("edge weight must not be NaN")
+        if math.isinf(weight):
+            return  # a TOP bound carries no information
+        if x == y:
+            if weight < 0:
+                raise InconsistentSpecificationError(
+                    f"negative self-loop at {x!r}"
+                )
+            return
+        self.stats.edges_inserted += 1
+        back = self._dist[y][x]
+        if back + weight < -1e-9:
+            raise InconsistentSpecificationError(
+                f"inserting ({x!r} -> {y!r}, {weight}) closes a negative cycle "
+                f"(d({y!r}, {x!r}) = {back})",
+                edge=(x, y, weight),
+            )
+        if weight >= self._dist[x][y]:
+            return  # no path improves
+        # Ausiello et al. update: any strictly shorter path uses the new edge
+        # exactly once (no negative cycles), so it decomposes r ~> x -> y ~> s.
+        # Stored distances are finite or +inf (never NaN/-inf), so the
+        # comparisons below are equivalent to math.isinf checks; rows are
+        # paired with d(r, x) directly to keep the inner loop free of
+        # lookups into the outer matrix.
+        to_x = [(row, d_rx) for row in self._dist.values() if (d_rx := row[x]) != INF]
+        from_y = [(s, d) for s, d in self._dist[y].items() if d != INF]
+        # finite relaxation candidates - the solver-independent cost unit
+        # (NumpyAGDP charges the identical quantity); hoisted out of
+        # the inner loop so counting costs O(1) per insertion
+        self.stats.pair_updates += len(to_x) * len(from_y)
+        for row, d_rx in to_x:
+            base = d_rx + weight
+            for s, d_ys in from_y:
+                candidate = base + d_ys
+                if candidate < row[s]:
+                    row[s] = candidate
+        if self.invariant_hook is not None:
+            self.invariant_hook(self)
+
+    def kill(self, node: NodeKey) -> None:
+        """Unmark ``node`` as live; with gc enabled, drop its row and column."""
+        if node not in self._dist:
+            raise KeyError(f"node {node!r} is not present")
+        if self._source is not None and node == self._source:
+            raise ValueError("the source node is live forever")
+        self.stats.nodes_killed += 1
+        if not self._gc_enabled:
+            self._dead.add(node)
+        else:
+            del self._dist[node]
+            for row in self._dist.values():
+                del row[node]
+        if self.invariant_hook is not None:
+            self.invariant_hook(self)
+
+    def step(
+        self,
+        node: NodeKey,
+        edges: Iterable[Tuple[NodeKey, NodeKey, float]],
+        kills: Iterable[NodeKey] = (),
+    ) -> None:
+        """One AGDP input step: add ``node``, insert ``edges``, kill ``kills``.
+
+        Every edge must have ``node`` as one endpoint (the AGDP contract:
+        new edges connect live nodes to the new node).
+        """
+        self.add_node(node)
+        for x, y, w in edges:
+            if node not in (x, y):
+                raise ValueError(
+                    f"AGDP step for {node!r} may only insert incident edges, got ({x!r}, {y!r})"
+                )
+            self.insert_edge(x, y, w)
+        for victim in kills:
+            self.kill(victim)
+
+    def matrix_size(self) -> int:
+        """Current number of matrix cells held (space proxy for Lemma 3.5)."""
+        return len(self._dist) * len(self._dist)
 
 
 class ReferenceNumpyAGDP:

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    AGDP,
     InconsistentSpecificationError,
+    NumpyAGDP,
     WeightedDigraph,
     floyd_warshall,
 )
@@ -25,24 +25,24 @@ from repro.experiments.e4_agdp import steady_state_agdp
 
 class TestBasics:
     def test_initial_state(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         assert "s" in agdp
         assert agdp.distance("s", "s") == 0.0
         assert agdp.live_nodes == {"s"}
 
     def test_add_node_isolated(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         assert math.isinf(agdp.distance("s", "a"))
         assert agdp.distance("a", "a") == 0.0
 
     def test_duplicate_node_rejected(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         with pytest.raises(ValueError):
             agdp.add_node("s")
 
     def test_insert_edge_updates_distance(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         agdp.insert_edge("s", "a", 2.0)
         assert agdp.distance("s", "a") == 2.0
@@ -52,36 +52,36 @@ class TestBasics:
         assert agdp.distance("s", "a") == 1.0
 
     def test_insert_edge_unknown_endpoint(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         with pytest.raises(KeyError):
             agdp.insert_edge("s", "ghost", 1.0)
 
     def test_infinite_edge_ignored(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         agdp.insert_edge("s", "a", math.inf)
         assert math.isinf(agdp.distance("s", "a"))
 
     def test_nan_edge_rejected(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         with pytest.raises(ValueError):
             agdp.insert_edge("s", "a", math.nan)
 
     def test_negative_self_loop_rejected(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         with pytest.raises(InconsistentSpecificationError):
             agdp.insert_edge("s", "s", -1.0)
 
     def test_negative_cycle_detected(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         agdp.insert_edge("s", "a", 1.0)
         with pytest.raises(InconsistentSpecificationError):
             agdp.insert_edge("a", "s", -2.0)
 
     def test_kill_removes_node(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         agdp.insert_edge("s", "a", 1.0)
         agdp.kill("a")
@@ -89,17 +89,17 @@ class TestBasics:
         assert len(agdp) == 1
 
     def test_kill_source_rejected(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         with pytest.raises(ValueError):
             agdp.kill("s")
 
     def test_kill_unknown_rejected(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         with pytest.raises(KeyError):
             agdp.kill("ghost")
 
     def test_step_requires_incident_edges(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         with pytest.raises(ValueError):
             agdp.step("b", [("s", "a", 1.0)])
@@ -109,7 +109,7 @@ class TestLemma34:
     """Distances through dead nodes survive their garbage collection."""
 
     def test_path_through_killed_node(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.step("a", [("s", "a", 1.0), ("a", "s", 1.0)])
         agdp.step("b", [("a", "b", 2.0), ("b", "a", 2.0)], kills=["a"])
         # a is gone, but s->b = 3 must survive
@@ -118,7 +118,7 @@ class TestLemma34:
         assert agdp.distance("b", "s") == pytest.approx(3.0)
 
     def test_chain_of_kills(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         previous = "s"
         for i in range(10):
             node = f"n{i}"
@@ -133,7 +133,7 @@ class TestLemma34:
         assert agdp.distance("s", "n9") == pytest.approx(10.0)
 
     def test_negative_weights_preserved(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.step("a", [("s", "a", 5.0), ("a", "s", -4.0)])
         agdp.step("b", [("a", "b", -1.0), ("b", "a", 2.0)], kills=["a"])
         assert agdp.distance("s", "b") == pytest.approx(4.0)
@@ -183,7 +183,7 @@ def agdp_scripts(draw):
 @given(agdp_scripts())
 def test_lemma_3_4_randomized(steps):
     """AGDP live-live distances == full-graph distances, after every step."""
-    agdp = AGDP(source="s")
+    agdp = NumpyAGDP(source="s")
     live = {"s"}
     for (node, edges, kills), oracle in zip(steps, _oracle_prefix_distances(steps)):
         agdp.step(node, edges, kills)
@@ -203,8 +203,8 @@ def test_lemma_3_4_randomized(steps):
 @given(agdp_scripts())
 def test_gc_off_matches_gc_on(steps):
     """The ablation mode returns identical distances for live pairs."""
-    on = AGDP(source="s", gc_enabled=True)
-    off = AGDP(source="s", gc_enabled=False)
+    on = NumpyAGDP(source="s", gc_enabled=True)
+    off = NumpyAGDP(source="s", gc_enabled=False)
     live = {"s"}
     for node, edges, kills in steps:
         on.step(node, edges, kills)
@@ -223,7 +223,7 @@ def test_gc_off_matches_gc_on(steps):
 
 class TestStats:
     def test_counters(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.step("a", [("s", "a", 1.0)])
         agdp.step("b", [("a", "b", 1.0)], kills=["a"])
         assert agdp.stats.nodes_added == 3

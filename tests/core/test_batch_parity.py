@@ -1,8 +1,7 @@
 """Batch APIs are observationally identical to their scalar loops.
 
-The batch-delivery engine path leans on three amortization APIs added
-for the wire/batching perf pass: :meth:`ClockModel.lt_batch`,
-:meth:`AGDP.step_batch` (both backends), and
+The batch-delivery engine path leans on two amortization APIs added for
+the wire/batching perf pass: :meth:`ClockModel.lt_batch` and
 :meth:`HistoryModule.prepare_payloads`.  Each one promises *exactly* the
 scalar semantics - same values, same stats, same sharing-visible
 behavior - so the engine may switch between paths freely without
@@ -10,11 +9,9 @@ changing any observable result.  These properties pin that promise
 directly, complementing the end-to-end reference parity suite.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import AGDP, NumpyAGDP
 from repro.core.events import Event, EventId, EventKind
 from repro.core.history import HistoryModule
 from repro.sim.clock import AffineClock, PerfectClock, PiecewiseDriftingClock
@@ -52,63 +49,6 @@ class TestClockBatchParity:
             scalar.lt(rt)
         for rt in (10.0, 12.5, 40.0):
             assert batched.lt(rt) == scalar.lt(rt)
-
-
-def _apply_script(agdp, script, *, batch):
-    if batch:
-        agdp.step_batch(script)
-    else:
-        for node, edges, kills in script:
-            agdp.step(node, edges, kills)
-    return agdp
-
-
-@st.composite
-def step_scripts(draw):
-    """Well-formed AGDP step scripts: edges incident to the new node."""
-    names = [f"n{i}" for i in range(draw(st.integers(min_value=1, max_value=8)))]
-    script = []
-    live = ["s"]
-    for node in names:
-        edges = [
-            (peer, node, draw(st.floats(min_value=0.01, max_value=5.0)))
-            for peer in draw(
-                st.lists(st.sampled_from(live), unique=True, min_size=1, max_size=3)
-            )
-        ]
-        kills = []
-        killable = [p for p in live if p != "s"]
-        if killable and draw(st.booleans()):
-            kills.append(draw(st.sampled_from(killable)))
-        script.append((node, edges, kills))
-        live.append(node)
-        live = [p for p in live if p not in kills]
-    return script
-
-
-class TestAGDPBatchParity:
-    @given(step_scripts())
-    @settings(max_examples=100, deadline=None)
-    def test_dict_backend(self, script):
-        batched = _apply_script(AGDP(source="s"), script, batch=True)
-        scalar = _apply_script(AGDP(source="s"), script, batch=False)
-        assert batched.live_nodes == scalar.live_nodes
-        for x in batched.live_nodes:
-            for y in batched.live_nodes:
-                assert batched.distance(x, y) == scalar.distance(x, y)
-        assert batched.stats.__dict__ == scalar.stats.__dict__
-
-    @given(step_scripts())
-    @settings(max_examples=50, deadline=None)
-    def test_numpy_backend_matches_dict_batch(self, script):
-        batched = _apply_script(NumpyAGDP(source="s"), script, batch=True)
-        scalar = _apply_script(AGDP(source="s"), script, batch=False)
-        assert batched.live_nodes == scalar.live_nodes
-        for x in batched.live_nodes:
-            for y in batched.live_nodes:
-                assert batched.distance(x, y) == pytest.approx(
-                    scalar.distance(x, y), abs=1e-12
-                )
 
 
 class TestPreparePayloadsParity:

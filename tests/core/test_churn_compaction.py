@@ -19,8 +19,9 @@ import math
 
 import pytest
 
-from repro.core import AGDP, EfficientCSA, HistoryPayload, NumpyAGDP, SuspicionPolicy, View
+from repro.core import EfficientCSA, HistoryPayload, NumpyAGDP, SuspicionPolicy, View
 from repro.core.specs import SystemSpec, TransitSpec
+from repro.testing import ReferenceAGDP
 
 from ..conftest import make_event, recv, send
 
@@ -82,7 +83,7 @@ class TestNumpySlotCompaction:
 
     def test_churn_parity_with_dict_backend(self):
         dense = NumpyAGDP(source="s")
-        reference = AGDP(source="s")
+        reference = ReferenceAGDP(source="s")
         survivors = ["s"]
         for incarnation in range(12):
             point = ("p", incarnation)

@@ -9,17 +9,21 @@ raise :class:`InconsistentSpecificationError` rather than emit an interval
 that silently excludes the truth.
 """
 
+import math
+
 import pytest
 
 from repro.core import (
     EfficientCSA,
     FullInformationCSA,
     InconsistentSpecificationError,
+    QuarantineDiagnostic,
     bellman_ford_from,
     build_sync_graph,
     check_execution,
     View,
 )
+from repro.testing import ReferenceAGDP
 
 from ..conftest import make_event, recv, send, two_proc_spec
 
@@ -98,3 +102,55 @@ class TestDetectionInAlgorithms:
         payload2 = a.on_send(s2)
         with pytest.raises(InconsistentSpecificationError):
             src.on_receive(recv("src", 1, 20.0, s2), payload2)
+
+
+class TestDegradedQuarantine:
+    def test_one_bad_transit_edge_is_quarantined_and_skipped(self):
+        """One delivered payload carrying one out-of-spec transit edge.
+
+        Degraded mode records exactly one diagnostic and leaves a matrix
+        equal to the reference solver fed the same steps minus that edge;
+        plain mode raises on the same payload.
+        """
+        spec = two_proc_spec(transit=(0.4, 1.0))
+        degraded = EfficientCSA("src", spec, degraded_mode=True)
+        plain = EfficientCSA("src", spec)
+        steps = []
+        solver_step = degraded.agdp.step
+
+        def recording_step(node, edges, kills=(), on_reject=None):
+            edges, kills = list(edges), list(kills)
+            steps.append((node, [edge[:3] for edge in edges], kills))
+            solver_step(node, edges, kills, on_reject)
+
+        degraded.agdp.step = recording_step
+        a = EfficientCSA("a", spec)
+        s1 = send("src", 0, 10.0, dest="a")
+        degraded.on_send(s1)
+        payload1 = plain.on_send(s1)
+        a.on_receive(recv("a", 0, 50.0, s1), payload1)
+        s2 = send("a", 1, 50.1, dest="src")
+        payload2 = a.on_send(s2)
+        r2 = recv("src", 1, 10.5, s2)
+
+        degraded.on_receive(r2, payload2)
+        with pytest.raises(InconsistentSpecificationError):
+            plain.on_receive(r2, payload2)
+
+        [diagnostic] = degraded.diagnostics
+        assert isinstance(diagnostic, QuarantineDiagnostic)
+        assert diagnostic.event == r2.eid
+        assert diagnostic.kind == "transit"
+        assert diagnostic.edge[:2] == (s2.eid, r2.eid)
+        reference = ReferenceAGDP()
+        for node, edges, kills in steps:
+            reference.step(node, [e for e in edges if e != diagnostic.edge], kills)
+        assert reference.nodes == degraded.agdp.nodes
+        for x in reference.nodes:
+            for y in reference.nodes:
+                expected = reference.distance(x, y)
+                actual = degraded.agdp.distance(x, y)
+                if math.isinf(expected):
+                    assert math.isinf(actual)
+                else:
+                    assert actual == pytest.approx(expected, abs=1e-12)

@@ -46,7 +46,7 @@ def test_fuzz_numpy_backend_agrees(schedule):
 
     report = run_differential(
         schedule,
-        estimator_factory=lambda p, s: EfficientCSA(p, s, agdp_backend="numpy"),
+        estimator_factory=EfficientCSA,
         check_determinism=False,
     )
     assert report.ok, report.describe()

@@ -1,9 +1,9 @@
 """Soak test at a larger scale: a 4x5 grid, thousands of events.
 
-Uses the numpy AGDP backend (the scale is what it exists for) and checks
-the full invariant set where affordable: spec satisfaction and soundness
-everywhere, optimality spot-checked against the from-scratch oracle at a
-few processors, and the complexity envelopes across the whole fleet.
+Runs the default estimator and checks the full invariant set where
+affordable: spec satisfaction and soundness everywhere, optimality
+spot-checked against the from-scratch oracle at a few processors, and
+the complexity envelopes across the whole fleet.
 """
 
 import pytest
@@ -21,11 +21,7 @@ def grid_run():
     return run_workload(
         network,
         PeriodicGossip(period=6.0, seed=77),
-        {
-            "efficient": lambda p, s: EfficientCSA(
-                p, s, agdp_backend="numpy"
-            )
-        },
+        {"efficient": EfficientCSA},
         duration=120.0,
         seed=77,
         sample_period=15.0,

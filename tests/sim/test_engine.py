@@ -67,6 +67,19 @@ class TestScheduling:
             sim.schedule_at(float(i + 1), lambda: None)
         assert sim.run_until(100.0, max_actions=3) == 3
 
+    def test_single_stepping_keeps_now_at_last_action(self):
+        """A run cut short by ``max_actions`` must not jump to its limit."""
+        sim = Simulation(tiny_network())
+        times = [0.5 * (i % 7) + i for i in range(20)]
+        for rt in times:
+            sim.schedule_at(rt, lambda: None)
+        seen = []
+        while sim.pending_actions():
+            assert sim.run_until(1e9, max_actions=1) == 1
+            assert not seen or sim.now >= seen[-1]
+            seen.append(sim.now)
+        assert seen == sorted(times)
+
 
 class TestEvents:
     def test_internal_event_recorded(self):

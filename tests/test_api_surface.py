@@ -5,10 +5,10 @@ import math
 import pytest
 
 from repro.core import (
-    AGDP,
     DriftSpec,
     EfficientCSA,
     EventId,
+    NumpyAGDP,
     SystemSpec,
     TransitSpec,
 )
@@ -62,7 +62,7 @@ class TestViewMisc:
 
 class TestAGDPMisc:
     def test_distances_from_and_to(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.step("a", [("s", "a", 2.0), ("a", "s", 5.0)])
         assert agdp.distances_from("s") == {"s": 0.0, "a": 2.0}
         assert agdp.distances_to("s") == {"s": 0.0, "a": 5.0}
@@ -70,7 +70,7 @@ class TestAGDPMisc:
             agdp.distances_to("ghost")
 
     def test_nodes_property(self):
-        agdp = AGDP(source="s")
+        agdp = NumpyAGDP(source="s")
         agdp.add_node("a")
         assert agdp.nodes == {"s", "a"}
 

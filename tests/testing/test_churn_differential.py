@@ -31,7 +31,7 @@ def test_differential_membership_only(schedule):
 @settings(max_examples=25)
 @given(churn_schedules(min_steps=8, max_steps=25))
 def test_differential_churn_numpy_backend(schedule):
-    """The dense backend survives churn too (slot compaction under kills)."""
+    """The solver survives churn in unreliable mode (slot compaction under kills)."""
     self_heal = any(step[0] == "corrupt" for step in schedule.steps)
     from repro.core.csa_base import SuspicionPolicy
 
@@ -41,7 +41,6 @@ def test_differential_churn_numpy_backend(schedule):
             p,
             s,
             reliable=False,
-            agdp_backend="numpy",
             self_heal=self_heal,
             suspicion=SuspicionPolicy() if self_heal else None,
         ),

@@ -1,6 +1,6 @@
 """The differential driver: clean runs, mutation smoke, corpus machinery.
 
-The bulk properties here (reliable / lossy / Byzantine / numpy-backend)
+The bulk properties here (reliable / lossy / Byzantine / plain estimator)
 are the PR's conformance sweep: under the ``ci`` profile they replay well
 over 500 generated schedules through every implementation path and the
 oracles, asserting zero divergences.  The mutation tests then prove the
@@ -51,7 +51,7 @@ def test_differential_byzantine(schedule):
 def test_differential_numpy_backend(schedule):
     report = run_differential(
         schedule,
-        estimator_factory=lambda p, s: EfficientCSA(p, s, agdp_backend="numpy"),
+        estimator_factory=EfficientCSA,
     )
     assert report.ok, report.describe()
 

@@ -5,10 +5,10 @@ import math
 import pytest
 from hypothesis import given
 
-from repro.core import AGDP, EfficientCSA
-from repro.core.agdp_numpy import NumpyAGDP
+from repro.core import EfficientCSA, NumpyAGDP
 from repro.testing import (
     InvariantViolation,
+    ReferenceAGDP,
     broken_gc_factory,
     check_agdp_invariants,
     check_csa_invariants,
@@ -48,7 +48,7 @@ class TestGating:
 
 
 class TestAGDPHookWiring:
-    @pytest.mark.parametrize("cls", [AGDP, NumpyAGDP])
+    @pytest.mark.parametrize("cls", [ReferenceAGDP, NumpyAGDP])
     def test_hook_fires_on_insert_and_kill(self, cls):
         calls = []
         agdp = cls()
@@ -60,7 +60,7 @@ class TestAGDPHookWiring:
         assert len(calls) == 2
         assert all(got is agdp for got in calls)
 
-    @pytest.mark.parametrize("cls", [AGDP, NumpyAGDP])
+    @pytest.mark.parametrize("cls", [ReferenceAGDP, NumpyAGDP])
     def test_uninformative_insertions_skip_the_hook(self, cls):
         calls = []
         agdp = cls()
@@ -74,14 +74,14 @@ class TestAGDPHookWiring:
 
 class TestDetection:
     def test_clean_agdp_passes(self):
-        agdp = AGDP()
+        agdp = ReferenceAGDP()
         agdp.add_node("a")
         agdp.add_node("b")
         agdp.insert_edge("a", "b", 1.0)
         check_agdp_invariants(agdp)
 
     def test_corrupted_closure_is_caught(self):
-        agdp = AGDP()
+        agdp = ReferenceAGDP()
         for node in ("a", "b", "c"):
             agdp.add_node(node)
         agdp.insert_edge("a", "b", 1.0)
@@ -91,7 +91,7 @@ class TestDetection:
             check_agdp_invariants(agdp)
 
     def test_corrupted_self_distance_is_caught(self):
-        agdp = AGDP()
+        agdp = ReferenceAGDP()
         agdp.add_node("a")
         agdp._dist["a"]["a"] = -1.0
         with pytest.raises(InvariantViolation):
